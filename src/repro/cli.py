@@ -20,7 +20,9 @@ Commands
 ``gateway-bench``
     Drive a fleet of simulated wearers through the async ingestion
     gateway and report sustained windows/sec plus p50/p99 verdict
-    latency; SIGINT drains and finalizes every session before exit.
+    latency.  Once streaming starts (a readiness line on stderr says
+    so) SIGINT drains and finalizes every session before the report;
+    earlier, it exits 130 with a one-line message.
 ``chaos``
     Seeded runtime-fault schedules (scorer crash/stall/slow/poison,
     gateway kill-and-restart, snapshot truncation) against the
@@ -472,22 +474,47 @@ def _cmd_bench_gate(args) -> int:
     return 0
 
 
+#: The line ``gateway-bench`` prints on stderr once its wearers start
+#: streaming; from then on SIGINT drains and still prints the report.
+GATEWAY_READY_LINE = "gateway-bench: streaming started; SIGINT drains and reports"
+
+
 def _cmd_gateway_bench(args) -> int:
     from repro.gateway import run_gateway_load
 
-    report = run_gateway_load(
-        n_wearers=args.wearers,
-        stream_s=args.stream_s,
-        batch_size=args.batch_size,
-        loss_probability=args.loss,
-        with_degradation=args.degradation,
-        supervised=args.supervised,
-        seed=args.seed,
-        install_sigint=True,
-        sanitize_loop=args.sanitize_loop,
-        stall_threshold_s=args.stall_threshold_s,
-        platform=args.platform,
-    )
+    serving = False
+
+    def on_ready() -> None:
+        nonlocal serving
+        serving = True
+        print(GATEWAY_READY_LINE, file=sys.stderr, flush=True)
+
+    try:
+        print(
+            f"gateway-bench: training detectors for {args.wearers} wearers",
+            file=sys.stderr,
+            flush=True,
+        )
+        report = run_gateway_load(
+            n_wearers=args.wearers,
+            stream_s=args.stream_s,
+            batch_size=args.batch_size,
+            loss_probability=args.loss,
+            with_degradation=args.degradation,
+            supervised=args.supervised,
+            seed=args.seed,
+            install_sigint=True,
+            sanitize_loop=args.sanitize_loop,
+            stall_threshold_s=args.stall_threshold_s,
+            platform=args.platform,
+            on_ready=on_ready,
+        )
+    except KeyboardInterrupt:
+        # Before serving starts nothing needs draining; after the drain,
+        # only the report is lost.  Either way: one line, no traceback.
+        phase = "after serving" if serving else "before serving started"
+        print(f"gateway-bench: interrupted {phase}; no report", file=sys.stderr)
+        return 130
     print(report.summary())
     failed = False
     if not report.loop_clean:

@@ -5,13 +5,28 @@ seconds -- individually trivial, collectively a throughput problem if
 every window pays the per-call overhead of the scalar scoring path.  The
 gateway keeps per-wearer state in :class:`~repro.gateway.session
 .WearerSession` objects and pushes every *assembled* window into one
-shared micro-batch queue; a single batcher task drains the queue, groups
-windows by the fitted detector their session's tier selected, and scores
-each group in one :meth:`~repro.core.detector.SIFTDetector
-.decision_values` call.  Batched scores are bit-identical to the scalar
-path, and the queue is FIFO, so every session observes exactly the
+shared micro-batch queue.  :meth:`IngestionGateway.submit` only
+assembles, stamps the window's ``enqueued_at``, applies backpressure and
+enqueues; a single batcher task does the rest, one closed micro-batch at
+a time, in four steps:
+
+1. off the loop, the SQI gate assesses the whole batch in one
+   vectorised :meth:`~repro.signals.quality.SignalQualityIndex
+   .assess_batch` call (skipped, with no thread hop, when no gate is
+   configured);
+2. on the loop, in FIFO order, each report feeds its session's tier
+   controller and the session's tier is selected -- or the window
+   becomes an abstain when it is unusable;
+3. off the loop, windows are grouped by the fitted detector their tier
+   selected and each group is scored in one batched
+   :meth:`~repro.core.detector.SIFTDetector.decision_values` call;
+4. on the loop, verdicts are applied in batch order.
+
+Batched SQI reports and batched scores are bit-identical to the scalar
+paths, and the queue is FIFO, so every session observes exactly the
 verdict sequence a per-wearer sequential run would have produced -- the
-micro-batching is invisible except in throughput.
+micro-batching is invisible except in throughput.  Verdict latency runs
+from ``enqueued_at`` to the apply, so it includes the gate.
 
 Backpressure is explicit, never silent:
 
@@ -23,9 +38,12 @@ Backpressure is explicit, never silent:
   (``windows_shed_session``) without degrading anyone else.
 
 A shed window is accounted exactly like a channel loss: the wearer's
-``windows_shed`` counter and the gateway totals record it, and the
-debouncer never sees it.  All latency timing uses
-``time.perf_counter()``.
+``windows_shed`` counter and the gateway totals record it, and neither
+the debouncer nor the tier controller ever sees it.  Windows are shed
+before the gate, so a shed window is never assessed and does not move
+its session's tier controller -- the controller observes exactly the
+scored plus abstained windows.  With nothing shed, the tier schedule is
+the sequential run's.  All latency timing uses ``time.perf_counter()``.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ from repro.gateway.supervisor import (
     ScoringUnavailable,
 )
 from repro.signals.dataset import SignalWindow
-from repro.signals.quality import SignalQualityIndex
+from repro.signals.quality import QualityReport, SignalQualityIndex
 from repro.wiot.assembly import DEFAULT_MAX_PENDING_LAG
 from repro.wiot.channel import DeliveredPacket
 
@@ -59,17 +77,21 @@ __all__ = ["GatewayStats", "IngestionGateway"]
 _STOP = object()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _PendingWindow:
-    """One assembled window waiting in the micro-batch queue."""
+    """One assembled window waiting in the micro-batch queue.
+
+    ``detector`` and ``sqi`` are filled in loop-side by the batcher's
+    tier selection, once the batch's gate reports are back.
+    """
 
     session: WearerSession
     sequence: int
     time_s: float
     window: SignalWindow
-    detector: SIFTDetector | None  # None = SQI-gated abstain
-    sqi: float | None
-    enqueued_at: float  # perf_counter timestamp
+    enqueued_at: float  # perf_counter timestamp, stamped before the gate
+    detector: SIFTDetector | None = None  # None = abstain
+    sqi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,7 +140,8 @@ class IngestionGateway:
         The fitted primary detector every new session starts on.
     quality_gate:
         Optional SQI gate, shared by all sessions (assessment is
-        stateless); gated windows become abstain verdicts.
+        stateless) and run once per micro-batch, off the loop; gated
+        windows become abstain verdicts.
     fallbacks:
         Fitted detectors for lighter tiers, keyed by version.
     degradation:
@@ -180,6 +203,15 @@ class IngestionGateway:
         self.detector = detector
         self.quality_gate = quality_gate
         self.fallbacks = dict(fallbacks) if fallbacks else {}
+        # Tiers are selected inside the batcher, where a missing fallback
+        # would take down every session's verdict stream: refuse it here.
+        unfitted = [
+            tier.value
+            for tier in (degradation.tiers if degradation is not None else ())
+            if tier is not detector.version and tier not in self.fallbacks
+        ]
+        if unfitted:
+            raise ValueError(f"degradation tiers without a fitted fallback: {unfitted}")
         self.degradation = degradation
         self.votes_needed = int(votes_needed)
         self.vote_window = int(vote_window)
@@ -209,6 +241,9 @@ class IngestionGateway:
         self._batcher_task: asyncio.Task | None = None
         self._closing = False
         self._inflight_total = 0
+        # Set whenever nothing is in flight; drain() waits on it.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.latencies_s: deque[float] = deque(maxlen=latency_window)
         self.sessions_started = 0
         self.windows_shed_queue = 0
@@ -245,9 +280,15 @@ class IngestionGateway:
         await self.shutdown()
 
     async def drain(self) -> None:
-        """Wait until every queued window has been scored."""
+        """Wait until every queued window's verdict has been applied.
+
+        Returns at once when nothing is in flight.  The re-check after
+        each wake-up matters: another task may have submitted more
+        windows before this one resumed, and callers (``snapshot``) rely
+        on the gateway being quiescent when ``drain`` returns.
+        """
         while self._inflight_total > 0:
-            await asyncio.sleep(0)
+            await self._idle.wait()
 
     async def shutdown(self) -> None:
         """Stop intake, score everything queued, close every session.
@@ -300,7 +341,6 @@ class IngestionGateway:
             session = WearerSession(
                 wearer_id,
                 self.detector,
-                quality_gate=self.quality_gate,
                 fallbacks=self.fallbacks,
                 degradation=(
                     self.degradation.clone()
@@ -350,11 +390,13 @@ class IngestionGateway:
         """Accept one channel delivery for a wearer.
 
         Synchronous fast path (call it from any task on the gateway's
-        loop); verdicts surface through ``on_verdict`` once the batcher
-        scores the window.  Returns ``False`` iff an assembled window
-        was shed by backpressure -- every other disposition (absorbed
-        half, duplicate, corrupt, enqueued) returns ``True``, with the
-        session counters carrying the detail.
+        loop): it assembles, stamps ``enqueued_at``, applies
+        backpressure and enqueues.  The SQI gate and scoring happen in
+        the batcher, and verdicts surface through ``on_verdict``.
+        Returns ``False`` iff an assembled window was shed by
+        backpressure -- every other disposition (absorbed half,
+        duplicate, corrupt, enqueued) returns ``True``, with the session
+        counters carrying the detail.
         """
         if self._closing:
             raise RuntimeError("gateway is shutting down")
@@ -365,27 +407,13 @@ class IngestionGateway:
         if completed is None:
             return True
         sequence, time_s, window = completed
-        report = session.assess(window)
-        if report is not None and not report.usable:
-            item = _PendingWindow(
-                session=session,
-                sequence=sequence,
-                time_s=time_s,
-                window=window,
-                detector=None,
-                sqi=report.sqi,
-                enqueued_at=time.perf_counter(),
-            )
-        else:
-            item = _PendingWindow(
-                session=session,
-                sequence=sequence,
-                time_s=time_s,
-                window=window,
-                detector=session.active_detector(),
-                sqi=None if report is None else report.sqi,
-                enqueued_at=time.perf_counter(),
-            )
+        item = _PendingWindow(
+            session=session,
+            sequence=sequence,
+            time_s=time_s,
+            window=window,
+            enqueued_at=time.perf_counter(),
+        )
         # Backpressure: per-wearer bound first (a slow wearer sheds only
         # itself), then the shared queue bound.
         if session.inflight >= self.max_inflight_per_session:
@@ -400,6 +428,7 @@ class IngestionGateway:
             return False
         session.inflight += 1
         self._inflight_total += 1
+        self._idle.clear()
         return True
 
     # -- the batcher ----------------------------------------------------
@@ -424,15 +453,46 @@ class IngestionGateway:
                     stop = True
                     break
                 batch.append(nxt)
-            # Scoring is CPU/pipe work and must not hold the event loop
-            # (ASYNC001): compute off-loop, then apply the verdicts on
-            # the loop.  The single batcher task awaits each batch in
-            # turn, so batches still retire strictly in FIFO order and
-            # the bit-identity contract is untouched.
+            # The gate and scoring are CPU/pipe work and must not hold
+            # the event loop (ASYNC001): each runs off-loop, and the
+            # session-state steps between and after them run on the
+            # loop.  The single batcher task awaits each batch in turn,
+            # so batches still retire strictly in FIFO order and the
+            # bit-identity contract is untouched.
+            reports = None
+            if self.quality_gate is not None:
+                reports = await asyncio.to_thread(
+                    self.quality_gate.assess_batch,
+                    [item.window for item in batch],
+                )
+            self._select_tiers(batch, reports)
             scores, unscorable = await asyncio.to_thread(
                 self._compute_scores, batch
             )
             self._apply_batch(batch, scores, unscorable)
+
+    def _select_tiers(
+        self, batch: list[_PendingWindow], reports: list[QualityReport] | None
+    ) -> None:
+        """Pick each window's detector, or abstain it (loop-side, FIFO).
+
+        Each gate report feeds its session's tier controller *before*
+        that window's tier is read, in batch order -- the order a
+        per-wearer sequential run assesses its windows in -- so the tier
+        schedule is the sequential one.  ``reports`` is ``None`` when no
+        gate is configured: every window is scored on its session's
+        detector.
+        """
+        if reports is None:
+            for item in batch:
+                item.detector = item.session.active_detector()
+            return
+        for item, report in zip(batch, reports):
+            session = item.session
+            session.observe(report)
+            item.sqi = report.sqi
+            if report.usable:
+                item.detector = session.active_detector()
 
     def _compute_scores(
         self, batch: list[_PendingWindow]
@@ -507,6 +567,8 @@ class IngestionGateway:
                 self.on_verdict(verdict)
         self.batches += 1
         self.batched_windows += len(batch)
+        if self._inflight_total == 0:
+            self._idle.set()
 
     # -- snapshot/restore -----------------------------------------------
 

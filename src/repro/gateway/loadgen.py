@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import signal
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -148,6 +149,30 @@ class LoadReport:
         return "\n".join(lines)
 
 
+class _SetupInterrupts:
+    """SIGINT handler for a load run's set-up, before serving starts.
+
+    Like Python's default handler it raises ``KeyboardInterrupt``; it
+    also remembers the signal, because a ``KeyboardInterrupt`` that lands
+    inside a third-party import can be swallowed there (numpy's lazily
+    imported ``numpy.random`` loses it), and the run would then serve as
+    if never interrupted.  :meth:`check` re-raises a remembered signal
+    just before serving starts.
+    """
+
+    def __init__(self) -> None:
+        self.seen = False
+
+    def __call__(self, signum, frame) -> None:
+        self.seen = True
+        raise KeyboardInterrupt
+
+    def check(self) -> None:
+        """Raise ``KeyboardInterrupt`` if a SIGINT arrived during set-up."""
+        if self.seen:
+            raise KeyboardInterrupt
+
+
 def train_serving_detectors(
     versions: Sequence[str] = ("original",),
     n_subjects: int = 6,
@@ -223,14 +248,16 @@ async def run_fleet(
     loss_probability: float = 0.0,
     seed: int = 7,
     stop: asyncio.Event | None = None,
+    on_ready: Callable[[], None] | None = None,
 ) -> LoadReport:
-    """Drive ``n_wearers`` concurrent sessions through a started gateway.
+    """Drive ``n_wearers`` concurrent sessions through a gateway.
 
     Wearer ``i`` streams ``records[i % len(records)]`` over its own
-    channel (seeded ``seed + i``).  Runs until every wearer's recording
-    is exhausted or ``stop`` is set, then shuts the gateway down --
-    scoring everything still queued and closing every session -- before
-    reporting.
+    channel (seeded ``seed + i``).  Starts the gateway, calls
+    ``on_ready`` (if given) just before the wearers begin streaming,
+    and runs until every wearer's recording is exhausted or ``stop`` is
+    set, then shuts the gateway down -- scoring everything still queued
+    and closing every session -- before reporting.
     """
     if n_wearers < 1:
         raise ValueError("n_wearers must be >= 1")
@@ -243,6 +270,8 @@ async def run_fleet(
     ]
     started = time.perf_counter()
     async with gateway:
+        if on_ready is not None:
+            on_ready()
         outcomes = await asyncio.gather(
             *(
                 _wearer(
@@ -297,13 +326,19 @@ def run_gateway_load(
     sanitize_loop: bool = False,
     stall_threshold_s: float = LoopStallSanitizer.DEFAULT_THRESHOLD_S,
     platform: str = "numpy",
+    on_ready: Callable[[], None] | None = None,
 ) -> LoadReport:
     """Train, build, and drive a gateway fleet end to end (synchronous).
 
     With ``install_sigint=True`` a SIGINT during the run triggers the
     orderly path instead of a KeyboardInterrupt mid-scoring: intake
     stops, the queue drains, sessions finalize, and the report is still
-    produced (flagged ``interrupted``).
+    produced (flagged ``interrupted``).  The handler is installed before
+    the gateway starts; a SIGINT earlier than that -- during training,
+    say -- raises ``KeyboardInterrupt`` out of this function, with
+    nothing started that would need draining.  ``on_ready`` is called
+    once, on the loop, when the wearers start streaming (the CLI prints
+    its readiness line there).
 
     ``supervised=True`` scores through a crash-isolated
     :class:`~repro.gateway.supervisor.SupervisedScoringBackend` (child
@@ -332,81 +367,91 @@ def run_gateway_load(
         raise ValueError("fault_plan/supervisor_knobs require supervised=True")
     if platform not in PLATFORMS:
         raise ValueError(f"platform must be one of {PLATFORMS}, got {platform!r}")
-    versions = ["original"]
-    if with_degradation:
-        versions += ["simplified", "reduced"]
-    data, fitted = train_serving_detectors(
-        versions=versions, seed=seed, platform=platform
-    )
-    primary = fitted[DetectorVersion.ORIGINAL]
-    fallbacks = {v: d for v, d in fitted.items() if v is not primary.version}
-    quality_gate = (
-        SignalQualityIndex() if (with_quality_gate or with_degradation) else None
-    )
-    degradation = DegradationController() if with_degradation else None
-    backend = None
-    detectors_by_key = {
-        version.value: detector for version, detector in fitted.items()
-    }
-    if supervised:
-        backend = SupervisedScoringBackend(
-            detectors_by_key,
-            fault_plan=fault_plan,
-            **(supervisor_knobs or {}),
+    # From here until the loop's own handler takes over, a SIGINT aborts
+    # the set-up with KeyboardInterrupt (see _SetupInterrupts).
+    guard = _SetupInterrupts() if install_sigint else None
+    previous = signal.signal(signal.SIGINT, guard) if guard is not None else None
+    try:
+        versions = ["original"]
+        if with_degradation:
+            versions += ["simplified", "reduced"]
+        data, fitted = train_serving_detectors(
+            versions=versions, seed=seed, platform=platform
         )
-    elif platform == "native":
-        backend = NativeBackend(detectors_by_key)
-    gateway = IngestionGateway(
-        primary,
-        quality_gate=quality_gate,
-        fallbacks=fallbacks,
-        degradation=degradation,
-        batch_size=batch_size,
-        linger_s=linger_s,
-        queue_windows=queue_windows,
-        max_inflight_per_session=max_inflight_per_session,
-        on_verdict=on_verdict,
-        backend=backend,
-    )
-    # A handful of distinct recordings, cycled across the fleet.
-    records = [
-        data.record(subject, stream_s, purpose="test")
-        for subject in data.subjects[: min(4, len(data.subjects))]
-    ]
-
-    async def _run() -> LoadReport:
-        stop = asyncio.Event()
-        if install_sigint:
-            import signal
-
-            loop = asyncio.get_running_loop()
-            loop.add_signal_handler(signal.SIGINT, stop.set)
-            try:
-                return await run_fleet(
-                    gateway,
-                    records,
-                    n_wearers,
-                    loss_probability=loss_probability,
-                    seed=seed,
-                    stop=stop,
-                )
-            finally:
-                loop.remove_signal_handler(signal.SIGINT)
-        return await run_fleet(
-            gateway,
-            records,
-            n_wearers,
-            loss_probability=loss_probability,
-            seed=seed,
-            stop=stop,
+        primary = fitted[DetectorVersion.ORIGINAL]
+        fallbacks = {v: d for v, d in fitted.items() if v is not primary.version}
+        quality_gate = (
+            SignalQualityIndex() if (with_quality_gate or with_degradation) else None
         )
+        degradation = DegradationController() if with_degradation else None
+        backend = None
+        detectors_by_key = {
+            version.value: detector for version, detector in fitted.items()
+        }
+        if supervised:
+            backend = SupervisedScoringBackend(
+                detectors_by_key,
+                fault_plan=fault_plan,
+                **(supervisor_knobs or {}),
+            )
+        elif platform == "native":
+            backend = NativeBackend(detectors_by_key)
+        gateway = IngestionGateway(
+            primary,
+            quality_gate=quality_gate,
+            fallbacks=fallbacks,
+            degradation=degradation,
+            batch_size=batch_size,
+            linger_s=linger_s,
+            queue_windows=queue_windows,
+            max_inflight_per_session=max_inflight_per_session,
+            on_verdict=on_verdict,
+            backend=backend,
+        )
+        # A handful of distinct recordings, cycled across the fleet.
+        records = [
+            data.record(subject, stream_s, purpose="test")
+            for subject in data.subjects[: min(4, len(data.subjects))]
+        ]
 
-    if not sanitize_loop:
-        return asyncio.run(_run())
-    with LoopStallSanitizer(threshold_s=stall_threshold_s) as sanitizer:
-        report = asyncio.run(_run())
-    return dataclasses.replace(
-        report,
-        loop_stalls=sanitizer.total_stalls,
-        max_loop_stall_s=sanitizer.max_stall_s,
-    )
+        async def _run() -> LoadReport:
+            stop = asyncio.Event()
+            if install_sigint:
+                loop = asyncio.get_running_loop()
+                loop.add_signal_handler(signal.SIGINT, stop.set)
+                try:
+                    return await run_fleet(
+                        gateway,
+                        records,
+                        n_wearers,
+                        loss_probability=loss_probability,
+                        seed=seed,
+                        stop=stop,
+                        on_ready=on_ready,
+                    )
+                finally:
+                    loop.remove_signal_handler(signal.SIGINT)
+            return await run_fleet(
+                gateway,
+                records,
+                n_wearers,
+                loss_probability=loss_probability,
+                seed=seed,
+                stop=stop,
+                on_ready=on_ready,
+            )
+
+        if guard is not None:
+            guard.check()  # last moment an interrupt means "before serving"
+        if not sanitize_loop:
+            return asyncio.run(_run())
+        with LoopStallSanitizer(threshold_s=stall_threshold_s) as sanitizer:
+            report = asyncio.run(_run())
+        return dataclasses.replace(
+            report,
+            loop_stalls=sanitizer.total_stalls,
+            max_loop_stall_s=sanitizer.max_stall_s,
+        )
+    finally:
+        if guard is not None:
+            signal.signal(signal.SIGINT, previous)

@@ -3,13 +3,14 @@
 A :class:`WearerSession` is everything the gateway must remember about
 one live wearer: bounded window assembly (the same
 :class:`~repro.wiot.assembly.WindowAssembler` the base station uses),
-the SQI gate verdict history, the wearer's *own* adaptive-tier
-controller, and the k-of-n alert debouncer.  Scoring is deliberately
-absent -- the gateway scores windows from many sessions in one
-cross-session micro-batch and feeds each session's results back in
-arrival order, which is why the debouncer is driven through
-:meth:`~repro.core.streaming.StreamingDetector.advance_value` /
-``abstain_window`` instead of ``process_window``.
+the wearer's *own* adaptive-tier controller, and the k-of-n alert
+debouncer.  The SQI gate and scoring are deliberately absent -- the
+gateway's batcher assesses and scores windows from many sessions in
+cross-session micro-batches and feeds each session's results back in
+arrival order: gate reports through :meth:`WearerSession.observe`,
+outcomes through ``record_score`` / ``record_abstain``, which drive the
+debouncer via :meth:`~repro.core.streaming.StreamingDetector
+.advance_value` / ``abstain_window`` instead of ``process_window``.
 
 Per-session state is O(1) in stream length: assembly is bounded by
 construction, the debouncer's horizon is ``vote_window`` entries, and
@@ -28,7 +29,7 @@ from repro.core.detector import SIFTDetector
 from repro.core.streaming import StreamingDetector
 from repro.core.versions import DetectorVersion
 from repro.signals.dataset import SignalWindow
-from repro.signals.quality import QualityReport, SignalQualityIndex
+from repro.signals.quality import QualityReport
 from repro.wiot.assembly import WindowAssembler
 from repro.wiot.channel import DeliveredPacket
 
@@ -41,9 +42,11 @@ class SessionVerdict:
 
     ``latency_s`` is the assembled-to-decided interval, measured with
     ``time.perf_counter()`` (monotonic; wall clocks can step backwards
-    mid-measurement).  An abstained verdict carries a NaN
-    ``decision_value`` and ``altered=False`` -- scoring must exclude it,
-    exactly as with :class:`~repro.wiot.basestation.WindowVerdict`.
+    mid-measurement).  It starts when the window is enqueued, before the
+    SQI gate, so it includes the gate, the queue wait and scoring.  An
+    abstained verdict carries a NaN ``decision_value`` and
+    ``altered=False`` -- scoring must exclude it, exactly as with
+    :class:`~repro.wiot.basestation.WindowVerdict`.
     """
 
     wearer_id: str
@@ -90,13 +93,14 @@ class WearerSession:
     (the sequential equivalent this session must match bit-for-bit),
     plus the assembly bounds.  ``degradation`` must be this session's
     *own* controller (the gateway clones its template per session).
+    There is no gate parameter: the gateway assesses whole micro-batches
+    and hands each report back through :meth:`observe`.
     """
 
     def __init__(
         self,
         wearer_id: str,
         detector: SIFTDetector,
-        quality_gate: SignalQualityIndex | None = None,
         fallbacks: dict[DetectorVersion, SIFTDetector] | None = None,
         degradation: DegradationController | None = None,
         votes_needed: int = 2,
@@ -105,11 +109,8 @@ class WearerSession:
         dedup_capacity: int = 1024,
         verdict_history: int = 64,
     ) -> None:
-        if degradation is not None and quality_gate is None:
-            raise ValueError("degradation requires a quality_gate")
         self.wearer_id = wearer_id
         self.detector = detector
-        self.quality_gate = quality_gate
         self.fallbacks = dict(fallbacks) if fallbacks else {}
         self.degradation = degradation
         self.assembler = WindowAssembler(
@@ -141,19 +142,18 @@ class WearerSession:
         window = window_from_slot(slot, subject_id=self.wearer_id)
         return sequence, slot["ecg"].packet.start_time_s, window
 
-    def assess(self, window: SignalWindow) -> QualityReport | None:
-        """Run the SQI gate (observing the tier controller); None = no gate.
+    def observe(self, report: QualityReport) -> None:
+        """Feed one window's SQI report to this session's tier controller.
 
-        Called once per assembled window, *in arrival order*, before the
-        window is queued -- so the tier selected for a window reflects
-        exactly the quality history a sequential run would have seen.
+        The gateway calls it once per assessed window, *in arrival
+        order*, before reading :meth:`active_detector` for that window
+        -- so the tier selected for a window reflects exactly the
+        quality history a sequential run would have seen.  Shed windows
+        are never assessed, so they never reach the controller.  A no-op
+        without a controller.
         """
-        if self.quality_gate is None:
-            return None
-        report = self.quality_gate.assess(window)
         if self.degradation is not None:
             self.degradation.observe(report)
-        return report
 
     def active_detector(self) -> SIFTDetector:
         """The fitted detector for this session's current tier."""

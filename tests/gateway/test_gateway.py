@@ -10,6 +10,8 @@ else here is the backpressure and lifecycle accounting contract.
 
 import asyncio
 import dataclasses
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ import pytest
 from repro.adaptive.degradation import DegradationController
 from repro.core.streaming import StreamingDetector
 from repro.core.versions import DetectorVersion
-from repro.gateway import IngestionGateway, window_from_slot
+from repro.gateway import (
+    InProcessBackend,
+    IngestionGateway,
+    SessionSnapshotStore,
+    window_from_slot,
+)
 from repro.signals.quality import SignalQualityIndex
 from repro.wiot.channel import DeliveredPacket
 from repro.wiot.sensor import BodySensor
@@ -274,6 +281,86 @@ class TestBackpressure:
         )
 
 
+    def test_shed_windows_never_reach_the_tier_controller(
+        self, trained_detectors, dataset, victim
+    ):
+        """Windows are shed before the gate, so a shed window is never
+        assessed: the tier controller observes exactly the scored plus
+        abstained windows, and tiers follow a sequential run over the
+        windows that were not shed."""
+        primary = trained_detectors[DetectorVersion.ORIGINAL]
+        fallbacks = {
+            v: d for v, d in trained_detectors.items() if v is not primary.version
+        }
+        gate = SignalQualityIndex()
+        template = DegradationController(degrade_after=2, recover_after=3)
+        record = dataset.record(victim, 90.0, purpose="extra")
+        deliveries = _deliveries(record, flatline=(2, 3, 4, 5, 6, 7, 8))
+        windows = _windows_of(deliveries)
+        verdicts = []
+
+        async def run():
+            gateway = IngestionGateway(
+                primary,
+                quality_gate=gate,
+                fallbacks=fallbacks,
+                degradation=template,
+                batch_size=8,
+                linger_s=0.0,
+                max_inflight_per_session=2,
+                on_verdict=verdicts.append,
+            )
+            kept = []
+            async with gateway:
+                # Bursts of three windows with no yield: the third of
+                # each burst finds two in flight and is shed.
+                for start in range(0, len(windows), 3):
+                    for j in range(start, min(start + 3, len(windows))):
+                        gateway.submit("w", deliveries[2 * j])
+                        if gateway.submit("w", deliveries[2 * j + 1]):
+                            kept.append(j)
+                    await gateway.drain()
+                session = gateway.session("w")
+            return session, kept
+
+        session, kept = asyncio.run(run())
+        controller = session.degradation
+        assert session.windows_shed == len(windows) - len(kept) > 0
+        assert controller.n_observed == (
+            session.windows_scored + session.windows_abstained
+        ) == len(kept)
+        # The same controller fed only the kept windows, sequentially.
+        control = template.clone()
+        expected = []
+        for j in kept:
+            report = gate.assess(windows[j])
+            control.observe(report)
+            if not report.usable:
+                expected.append((j, None))
+                continue
+            version = control.active
+            active = primary if version is primary.version else fallbacks[version]
+            expected.append((j, active.decision_value(windows[j])))
+        assert controller.export_state() == control.export_state()
+        assert controller.switches  # the flatlined run degraded the tier
+        assert [
+            (v.sequence, None if v.abstained else v.decision_value)
+            for v in verdicts
+        ] == [(deliveries[2 * j].packet.sequence, value) for j, value in expected]
+
+
+class _BlockingBackend(InProcessBackend):
+    """Scores only once ``release`` is set (off-loop, so the loop stays live)."""
+
+    def __init__(self, detectors):
+        super().__init__(detectors)
+        self.release = threading.Event()
+
+    def score(self, key, windows):
+        self.release.wait(timeout=30.0)
+        return super().score(key, windows)
+
+
 class TestLifecycle:
     def test_shutdown_leaves_zero_sessions(self, trained_detectors, test_record):
         detector = trained_detectors[DetectorVersion.SIMPLIFIED]
@@ -326,6 +413,76 @@ class TestLifecycle:
         session = asyncio.run(run())
         assert session.episodes is not None  # debouncer was finished
 
+    def test_drain_returns_at_once_when_idle(self, trained_detectors):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+
+        async def run():
+            async with IngestionGateway(detector) as gateway:
+                # Completes on its first step: no suspension, no loop turn.
+                with pytest.raises(StopIteration):
+                    gateway.drain().send(None)
+
+        asyncio.run(run())
+
+    def test_drain_returns_only_after_queued_windows_are_applied(
+        self, trained_detectors, test_record
+    ):
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        deliveries = _deliveries(test_record)[:8]  # 4 windows
+        backend = _BlockingBackend({detector.version.value: detector})
+        verdicts = []
+
+        async def run():
+            gateway = IngestionGateway(
+                detector,
+                batch_size=64,
+                linger_s=0.0,
+                backend=backend,
+                on_verdict=verdicts.append,
+            )
+            async with gateway:
+                for delivered in deliveries:
+                    gateway.submit("w", delivered)
+                drain = asyncio.get_running_loop().create_task(gateway.drain())
+                cpu_before = time.process_time()
+                await asyncio.sleep(0.2)
+                # The batch is stuck in scoring: drain must still wait --
+                # asleep on an event, not spinning the loop.
+                assert not drain.done()
+                assert time.process_time() - cpu_before < 0.1
+                assert verdicts == []
+                backend.release.set()
+                await drain
+                assert len(verdicts) == 4
+                assert gateway.session("w").inflight == 0
+                # Idle again: a second drain returns at once.
+                with pytest.raises(StopIteration):
+                    gateway.drain().send(None)
+
+        asyncio.run(run())
+
+    def test_snapshot_sees_a_quiescent_gateway(
+        self, tmp_path, trained_detectors, test_record
+    ):
+        """``snapshot`` drains first: windows submitted just before it are
+        applied, so the exported debouncer state covers their verdicts."""
+        detector = trained_detectors[DetectorVersion.SIMPLIFIED]
+        deliveries = _deliveries(test_record)[:12]  # 6 windows
+        store = SessionSnapshotStore(tmp_path / "s.jsonl")
+
+        async def run():
+            gateway = IngestionGateway(detector, batch_size=4, linger_s=0.0)
+            async with gateway:
+                for delivered in deliveries:
+                    gateway.submit("w", delivered)
+                await gateway.snapshot(store)
+                return gateway.session("w").windows_scored
+
+        scored_at_snapshot = asyncio.run(run())
+        assert scored_at_snapshot == 6
+        _, _, sessions = store.load()
+        assert sessions[0]["windows_scored"] == 6
+
     def test_lost_halves_count_per_session(self, trained_detectors, test_record):
         """Dropping one half of a window surfaces as an incomplete window
         in the gateway stats, never a verdict."""
@@ -360,3 +517,12 @@ class TestLifecycle:
             IngestionGateway(detector, max_inflight_per_session=0)
         with pytest.raises(ValueError, match="quality_gate"):
             IngestionGateway(detector, degradation=DegradationController())
+        with pytest.raises(ValueError, match="without a fitted fallback"):
+            IngestionGateway(
+                trained_detectors[DetectorVersion.ORIGINAL],
+                quality_gate=SignalQualityIndex(),
+                fallbacks={
+                    DetectorVersion.SIMPLIFIED: detector,
+                },
+                degradation=DegradationController(),
+            )

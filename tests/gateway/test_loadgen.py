@@ -110,13 +110,12 @@ class TestRunGatewayLoad:
     reason="POSIX signal delivery required",
 )
 class TestGatewayBenchCLI:
-    def test_sigint_shuts_down_cleanly(self):
-        """SIGINT mid-run must drain, finalize every session, print the
-        report, and exit 0 -- the CI smoke contract."""
-        proc = subprocess.Popen(
+    @staticmethod
+    def _start(*extra):
+        return subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "gateway-bench",
-                "--wearers", "16", "--stream-s", "600", "--seed", "3",
+                "--wearers", "16", "--seed", "3", *extra,
             ],
             cwd=REPO_ROOT,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
@@ -124,9 +123,48 @@ class TestGatewayBenchCLI:
             stderr=subprocess.PIPE,
             text=True,
         )
-        time.sleep(3.0)  # let training finish and streaming start
-        proc.send_signal(signal.SIGINT)
-        stdout, stderr = proc.communicate(timeout=60)
+
+    @staticmethod
+    def _interrupt_at(proc, marker):
+        """Send SIGINT as soon as ``marker`` shows on stderr; returns
+        ``(stdout, stderr)`` with the lines read so far included."""
+        seen = []
+        try:
+            deadline = time.monotonic() + 60.0
+            for line in proc.stderr:
+                seen.append(line)
+                if marker in line:
+                    break
+                assert time.monotonic() < deadline, f"never printed {marker!r}"
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        return stdout, "".join(seen) + stderr
+
+    def test_sigint_shuts_down_cleanly(self):
+        """SIGINT mid-run must drain, finalize every session, print the
+        report, and exit 0 -- the CI smoke contract."""
+        from repro.cli import GATEWAY_READY_LINE
+
+        proc = self._start("--stream-s", "600")
+        # Handshake, not a sleep: interrupt once streaming has started.
+        stdout, stderr = self._interrupt_at(proc, GATEWAY_READY_LINE)
         assert proc.returncode == 0, stderr
         assert "leaked sessions    0" in stdout
         assert "verdict latency" in stdout
+        assert "(interrupted)" in stdout
+
+    def test_sigint_during_training_exits_130_without_traceback(self):
+        """Before serving starts there is nothing to drain: exit 130 with
+        one line, not a KeyboardInterrupt traceback."""
+        # Three tiers to train and an hour of recording to synthesize
+        # keep the process well before serving when the signal lands.
+        proc = self._start("--stream-s", "3600", "--degradation")
+        stdout, stderr = self._interrupt_at(proc, "training detectors")
+        assert proc.returncode == 130, stderr
+        assert "Traceback" not in stderr
+        assert "KeyboardInterrupt" not in stderr
+        assert "interrupted before serving started" in stderr
+        assert stdout == ""
