@@ -68,7 +68,7 @@ def test_adaptive_policies(benchmark, candidates, save_result):
             )
         return timelines
 
-    timelines = run_once(benchmark, simulate_all, study="adaptive", unit="policies")
+    timelines = run_once(benchmark, simulate_all)
 
     rows = [
         [

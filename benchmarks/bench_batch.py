@@ -58,23 +58,13 @@ def _best_of(fn, rounds: int) -> float:
 
 def test_scalar_stream_scoring(benchmark, setup):
     detector, stream = setup
-    values = run_once(
-        benchmark,
-        lambda: [detector.decision_value(w) for w in stream.windows],
-        study="batch",
-        unit="scalar-stream",
-    )
+    values = run_once(benchmark, lambda: [detector.decision_value(w) for w in stream.windows])
     assert len(values) == len(stream)
 
 
 def test_batch_stream_scoring(benchmark, setup):
     detector, stream = setup
-    values = run_once(
-        benchmark,
-        lambda: detector.decision_values(stream),
-        study="batch",
-        unit="batch-stream",
-    )
+    values = run_once(benchmark, lambda: detector.decision_values(stream))
     assert values.shape == (len(stream),)
 
 

@@ -108,12 +108,7 @@ def test_chunked_peak_memory(setup, quick):
 
 def test_one_shot_stream_scoring(benchmark, setup):
     detector, record, n_windows = setup
-    values = run_once(
-        benchmark,
-        lambda: detector.decision_values(list(_windows(record))),
-        study="chunked",
-        unit="one-shot",
-    )
+    values = run_once(benchmark, lambda: detector.decision_values(list(_windows(record))))
     assert values.shape == (n_windows,)
 
 
@@ -125,4 +120,4 @@ def test_chunked_stream_scoring(benchmark, setup):
             len(v) for v in detector.iter_decision_values(_windows(record), 256)
         )
 
-    assert run_once(benchmark, run, study="chunked", unit="chunked") == n_windows
+    assert run_once(benchmark, run) == n_windows

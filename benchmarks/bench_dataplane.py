@@ -75,7 +75,7 @@ def test_attach_vs_synthesis_acquisition(benchmark, config, save_result):
         start = time.perf_counter()
         _ATTACHED.clear()
         EXPERIMENT_CACHE.clear()
-        attached = run_once(benchmark, lambda: attach_records(plane.manifest), study="dataplane", unit="attach")
+        attached = run_once(benchmark, lambda: attach_records(plane.manifest))
         attach_s = time.perf_counter() - start
         assert set(attached) == set(records)
         EXPERIMENT_CACHE.clear()

@@ -44,34 +44,19 @@ def data():
 
 def test_bench_signal_generation(benchmark, data):
     dataset, victim = data["dataset"], data["victim"]
-    record = run_once(
-        benchmark,
-        lambda: dataset.record(victim, 120.0, "extra"),
-        study="micro",
-        unit="signal-generation",
-    )
+    record = run_once(benchmark, lambda: dataset.record(victim, 120.0, "extra"))
     assert record.n_samples == int(120.0 * dataset.sample_rate)
 
 
 def test_bench_portrait_construction(benchmark, data):
-    portrait = run_once(
-        benchmark,
-        lambda: build_portrait(data["window"]),
-        study="micro",
-        unit="portrait",
-    )
+    portrait = run_once(benchmark, lambda: build_portrait(data["window"]))
     assert portrait.n_points == 1080
 
 
 @pytest.mark.parametrize("version", list(DetectorVersion), ids=lambda v: v.value)
 def test_bench_reference_extraction(benchmark, data, version):
     extractor = make_extractor(version)
-    features = run_once(
-        benchmark,
-        lambda: extractor.extract_window(data["window"]),
-        study="micro",
-        unit=f"reference-extract-{version.value}",
-    )
+    features = run_once(benchmark, lambda: extractor.extract_window(data["window"]))
     assert features.shape == (version.n_features,)
 
 
@@ -83,9 +68,7 @@ def test_bench_device_extraction(benchmark, data, version):
         )
         return device_extract_features(math, version, data["device_window"])
 
-    features = run_once(
-        benchmark, extract, study="micro", unit=f"device-extract-{version.value}"
-    )
+    features = run_once(benchmark, extract)
     assert features.shape == (version.n_features,)
 
 
@@ -117,12 +100,7 @@ def test_bench_svm_training(benchmark, data):
 def test_bench_end_to_end_window_classification(benchmark, data):
     detector = SIFTDetector(version="simplified")
     detector.fit(data["train"], data["donors"])
-    verdict = run_once(
-        benchmark,
-        lambda: detector.classify_window(data["window"]),
-        study="micro",
-        unit="end-to-end-window",
-    )
+    verdict = run_once(benchmark, lambda: detector.classify_window(data["window"]))
     assert verdict in (True, False)
 
 
@@ -131,24 +109,14 @@ def test_bench_fixed_point_classification(benchmark, data):
     detector.fit(data["train"], data["donors"])
     model = detector.deploy()
     features_q = model.quantize(detector.extract_features(data["window"]))
-    result = run_once(
-        benchmark,
-        lambda: model.predict_bool_fixed(features_q),
-        study="micro",
-        unit="fixed-point-classify",
-    )
+    result = run_once(benchmark, lambda: model.predict_bool_fixed(features_q))
     assert result in (True, False)
 
 
 def test_bench_peak_detection(benchmark, data):
     from repro.signals.peaks import detect_r_peaks
 
-    peaks = run_once(
-        benchmark,
-        lambda: detect_r_peaks(data["test"].ecg, 360.0),
-        study="micro",
-        unit="peak-detection",
-    )
+    peaks = run_once(benchmark, lambda: detect_r_peaks(data["test"].ecg, 360.0))
     assert peaks.size > 50
 
 
@@ -156,10 +124,5 @@ def test_bench_occupancy_histogram(benchmark, data):
     math = RestrictedMath(counter=OpCounter())
     x = np.random.default_rng(0).random(1080)
     y = np.random.default_rng(1).random(1080)
-    matrix = run_once(
-        benchmark,
-        lambda: math.histogram2d(x, y, 50),
-        study="micro",
-        unit="occupancy-histogram",
-    )
+    matrix = run_once(benchmark, lambda: math.histogram2d(x, y, 50))
     assert matrix.sum() == 1080

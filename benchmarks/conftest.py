@@ -1,38 +1,22 @@
 """Shared benchmark helpers.
 
-Heavy experiments run exactly once via ``benchmark.pedantic`` (regenerating
-a paper table is a one-shot measurement, not a statistical microbenchmark);
-their rendered tables are printed and also written to
-``benchmarks/results/<name>.txt`` so the output survives pytest's capture.
-
-Every :func:`run_once` measurement that names its ``study`` also lands in
-the orchestrator's perf-sample buffer; at session end the samples are
-aggregated into a ``BENCH_<stamp>.json`` perf trajectory (same schema the
-``repro orchestrate`` driver emits), which is what the CI regression gate
-(``repro bench-gate``) consumes.
+These microbenches time things no orchestrator study runs (batch vs
+scalar scoring, chunked streaming, the dataset plane, single kernels,
+adaptive policies).  One-shot measurements run exactly once via
+``benchmark.pedantic``; rendered tables are printed and also written to
+``benchmarks/results/<name>.txt`` so the output survives pytest's
+capture.  The paper tables, ablations and serving studies are
+regenerated and checked by ``repro orchestrate``, the only writer of
+the ``BENCH_*.json`` perf trajectory.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def results_dir() -> Path:
-    """Where rendered tables and the trajectory land.
-
-    ``REPRO_BENCH_RESULTS`` overrides the default ``benchmarks/results``
-    -- the trajectory regression test points it at a tmp dir so a real
-    bench session can be asserted against without touching the repo's
-    committed results.
-    """
-    override = os.environ.get("REPRO_BENCH_RESULTS")
-    return Path(override) if override else RESULTS_DIR
 
 
 def pytest_addoption(parser):
@@ -43,14 +27,6 @@ def pytest_addoption(parser):
         help="shrink benchmark workloads for CI smoke runs "
         "(shorter streams, looser-but-still-meaningful assertions)",
     )
-    parser.addoption(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the cohort sweeps (1 = serial; "
-        "results are identical at any value, only wall-clock changes)",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -60,22 +36,12 @@ def quick(request) -> bool:
 
 
 @pytest.fixture(scope="session")
-def jobs(request) -> int:
-    """Worker count for the cohort-fanning benchmarks (``--jobs``)."""
-    value = int(request.config.getoption("--jobs"))
-    if value < 1:
-        raise pytest.UsageError("--jobs must be >= 1")
-    return value
-
-
-@pytest.fixture(scope="session")
 def save_result():
-    """Persist a rendered experiment table under benchmarks/results/."""
+    """Persist a rendered table under benchmarks/results/."""
 
     def _save(name: str, text: str) -> None:
-        out = results_dir()
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{name}.txt"
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
         # Also echo for -s runs / the captured log.
         print(f"\n{text}\n[saved to {path}]")
@@ -83,47 +49,6 @@ def save_result():
     return _save
 
 
-def run_once(benchmark, fn, study: str | None = None, unit: str | None = None,
-             sample=None):
-    """Run a one-shot experiment under pytest-benchmark's timer.
-
-    Naming a ``study`` (and optionally a ``unit`` within it) records the
-    wall-clock into the orchestrator's perf-sample buffer, from which
-    :func:`pytest_sessionfinish` assembles the session's trajectory.
-    ``sample`` maps the run's result to extra sample fields (e.g.
-    ``n_windows``, ``p99_ms``) merged into the recorded measurement.
-    """
-    started = time.perf_counter()
-    result = benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-    wall_s = time.perf_counter() - started
-    if study is not None:
-        from repro.experiments.orchestrator import record_perf_sample
-
-        fields = dict(sample(result)) if sample is not None else {}
-        record_perf_sample(study, unit or study, wall_s, **fields)
-    return result
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the session's perf samples as a BENCH_<stamp>.json record."""
-    try:
-        from repro.experiments.orchestrator import (
-            drain_perf_samples,
-            trajectory_from_samples,
-            write_trajectory,
-        )
-    except ImportError:  # bare collection without src on the path
-        return
-    samples = drain_perf_samples()
-    if not samples:
-        return
-    record = trajectory_from_samples(
-        samples,
-        label="bench",
-        quick=bool(session.config.getoption("--quick")),
-        jobs=int(session.config.getoption("--jobs")),
-    )
-    out = results_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_trajectory(record, out)
-    print(f"\nperf trajectory: {path}")
+def run_once(benchmark, fn):
+    """Run a one-shot measurement under pytest-benchmark's timer."""
+    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -11,8 +11,9 @@ Commands
     The checkpointed driver over the full study matrix: every completed
     (study, config) unit is persisted as a JSONL checkpoint, re-runs skip
     completed units, interrupted sweeps resume mid-matrix, ``--reeval``
-    re-renders every report with zero recomputation, and a completed run
-    emits a ``BENCH_<stamp>.json`` perf trajectory.
+    re-renders and re-checks every report with zero recomputation, and a
+    completed run emits a ``BENCH_<stamp>.json`` perf trajectory.  Exits
+    1 when any study's check finds a violation.
 ``bench-gate``
     The CI perf-regression gate: compare two trajectory files and fail
     when a study's calibrated wall-clock or throughput regressed past
@@ -430,13 +431,16 @@ def _cmd_orchestrate(args) -> int:
     if run.trajectory_path is not None:
         print(f"trajectory: {run.trajectory_path}")
     _print_cache_stats()
-    return 0
+    for violation in run.violations:
+        print(f"check failed: {violation}", file=sys.stderr)
+    return 1 if run.violations else 0
 
 
 def _resolve_trajectory(path: Path) -> Path:
     """A trajectory file as given, or the newest ``BENCH_*.json`` inside
-    a directory.  Bench sessions stamp one file per run, so gating jobs
-    can point at the results directory instead of guessing the stamp."""
+    a directory.  Every ``repro orchestrate`` run that recomputes a unit
+    stamps one file, so gating jobs can point at the results directory
+    instead of guessing the stamp."""
     if not path.is_dir():
         return path
     candidates = sorted(
@@ -755,7 +759,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except KeyboardInterrupt:
+        # Ctrl-C in any phase: one line, no traceback, the shell's 130.
+        hint = "; rerun to resume from checkpoints" if args.command == "orchestrate" else ""
+        print(f"repro {args.command}: interrupted{hint}", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -17,10 +17,13 @@ The orchestrator fixes all three with one driver:
   before the next unit starts.  Re-running skips every unit whose
   checkpoint carries the current config hash, so an interrupted sweep
   resumes mid-matrix, recomputing only the unit it died in.
-* **Reports from payloads.**  Report files are rendered from the JSON
-  payloads (round-tripped through ``json`` even on the first run), so a
-  resumed run's reports are bit-identical to an uninterrupted run's, and
-  ``reeval=True`` regenerates every report with zero recomputation.
+* **Reports and checks from payloads.**  Report files are rendered from
+  the JSON payloads (round-tripped through ``json`` even on the first
+  run), so a resumed run's reports are bit-identical to an uninterrupted
+  run's, and ``reeval=True`` regenerates every report with zero
+  recomputation.  Each study's *check* then runs over the same payloads
+  and returns its violations: the paper-shape thresholds on full-size
+  runs, the serving and parity invariants at every size.
 * **Perf trajectory.**  A completed run emits ``BENCH_<stamp>.json``:
   per-study wall-clock, windows/second, experiment-cache hit/miss/
   eviction deltas and dataset-plane publish/attach time, plus a machine
@@ -40,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -70,11 +74,8 @@ __all__ = [
     "build_registry",
     "compare_trajectories",
     "config_hash",
-    "drain_perf_samples",
     "load_trajectory",
-    "record_perf_sample",
     "study_names",
-    "trajectory_from_samples",
     "write_trajectory",
 ]
 
@@ -82,7 +83,7 @@ __all__ = [
 SCHEMA = 1
 
 #: Default on-disk locations, relative to the repository root (the CLI
-#: and the benches run from there; tests pass explicit directories).
+#: runs from there; tests pass explicit directories).
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 DEFAULT_CHECKPOINT_DIR = DEFAULT_RESULTS_DIR / "checkpoints"
 
@@ -181,9 +182,16 @@ class CheckpointStore:
     def append(self, study: str, record: Mapping[str, Any]) -> None:
         """Durably append one completed unit's record."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True)
-        with self.path(study).open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        line = json.dumps(record, sort_keys=True) + "\n"
+        with self.path(study).open("a+b") as handle:
+            # A kill mid-append leaves a torn last line without its
+            # newline: start on a fresh line, or this record would be
+            # glued onto the fragment and skipped with it on load.
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -224,18 +232,25 @@ class UnitSpec:
     run: Callable[[StudyContext], Mapping[str, Any]]
 
 
+def _no_violations(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    return []
+
+
 @dataclass(frozen=True)
 class StudyDefinition:
-    """A named study: how to split it into units and render its reports.
+    """A named study: how to split it into units, render and check them.
 
     ``render`` receives the unit payloads (in unit order, every value
     JSON-round-tripped) and returns ``{report_name: text}``; report
     files land in the results directory as ``<report_name>.txt``.
+    ``check`` receives the same payloads and returns one message per
+    violated expectation (empty = the study holds).
     """
 
     name: str
     build_units: Callable[[StudyContext], Sequence[UnitSpec]]
     render: Callable[[StudyContext, dict[str, Any]], dict[str, str]]
+    check: Callable[[StudyContext, dict[str, Any]], list[str]] = _no_violations
 
 
 @dataclass(frozen=True)
@@ -253,11 +268,13 @@ class UnitOutcome:
 
 @dataclass(frozen=True)
 class StudyRun:
-    """One study's units plus the report files it produced."""
+    """One study's units, the report files it produced and the
+    violations its check found."""
 
     name: str
     units: tuple[UnitOutcome, ...]
     reports: dict[str, Path]
+    violations: tuple[str, ...] = ()
 
     @property
     def wall_s(self) -> float:
@@ -286,6 +303,15 @@ class OrchestratorRun:
     trajectory: dict[str, Any] | None
     trajectory_path: Path | None
 
+    @property
+    def violations(self) -> list[str]:
+        """Every study's check violations, prefixed with the study."""
+        return [
+            f"{study.name}: {violation}"
+            for study in self.studies
+            for violation in study.violations
+        ]
+
 
 # ----------------------------------------------------------------------
 # Payload <-> report helpers
@@ -311,7 +337,7 @@ def _report_from(payload: Mapping[str, Any]) -> DetectionReport:
 
 
 def _float_table(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> str:
-    """The benches' table layout: ``%.4g`` floats, verbatim strings."""
+    """The report table layout: ``%.4g`` floats, verbatim strings."""
     return format_table(
         list(columns),
         [
@@ -326,6 +352,35 @@ def _float_table(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> s
 
 def _config_params(config: ExperimentConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
+
+
+def _failed(checks: Iterable[tuple[bool, str]]) -> list[str]:
+    """The messages of the ``(holds, message)`` checks that do not hold."""
+    return [message for holds, message in checks if not holds]
+
+
+#: Full-size protocols of the studies that do not need the paper's
+#: 12-subject cohort: mid-size cohorts give stable cohort means at a
+#: fraction of the cost (quick runs keep ``ExperimentConfig.quick()``).
+_MIDSIZE_PROTOCOL = dict(
+    n_subjects=7,
+    train_duration_s=360.0,
+    test_duration_s=120.0,
+    n_train_donors=3,
+    n_test_donors=3,
+)
+_ROBUSTNESS_PROTOCOL = dict(
+    n_subjects=6,
+    train_duration_s=300.0,
+    test_duration_s=120.0,
+    n_train_donors=3,
+    n_test_donors=2,
+)
+
+
+def _study_config(ctx: StudyContext, protocol: Mapping[str, Any]) -> ExperimentConfig:
+    """``ctx.config``, with ``protocol`` applied on full-size runs."""
+    return ctx.config if ctx.quick else dataclasses.replace(ctx.config, **protocol)
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +489,32 @@ def _table2_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str
     }
 
 
+def _table2_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # Table II: Original ~ Simplified, both strong; Reduced several points
+    # worse; the device tracks the reference.  Needs the full cohort.
+    if ctx.quick:
+        return []
+    acc = {
+        (p["version"], row["platform"]): row["report"]["accuracy"]
+        for p in payloads.values()
+        for row in p["rows"]
+    }
+    checks = []
+    for platform in ("amulet", "reference"):
+        o, s, r = (acc[(v, platform)] for v in ("original", "simplified", "reduced"))
+        checks += [
+            (o > 0.85, f"{platform}: original accuracy {o:.4f} <= 0.85"),
+            (s > 0.85, f"{platform}: simplified accuracy {s:.4f} <= 0.85"),
+            (abs(o - s) < 0.05, f"{platform}: original/simplified gap {abs(o - s):.4f} >= 0.05"),
+            (r < s - 0.01, f"{platform}: reduced {r:.4f} not 0.01 below simplified {s:.4f}"),
+            (r > 0.75, f"{platform}: reduced accuracy {r:.4f} <= 0.75"),
+        ]
+    for v in ("original", "simplified", "reduced"):
+        gap = abs(acc[(v, "amulet")] - acc[(v, "reference")])
+        checks.append((gap < 0.05, f"{v}: amulet/reference gap {gap:.4f} >= 0.05"))
+    return _failed(checks)
+
+
 def _table3_units(ctx: StudyContext) -> list[UnitSpec]:
     def run_version(version: DetectorVersion):
         def run(ctx: StudyContext) -> dict[str, Any]:
@@ -511,26 +592,61 @@ def _table3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str
     }
 
 
+def _table3_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # Table III (paper: detector SRAM 259/259/69 B, lifetime 23/26/55 days).
+    if ctx.quick:
+        return []
+    o, s, r = (payloads[v] for v in ("original", "simplified", "reduced"))
+    sram = (o["app_sram_bytes"], s["app_sram_bytes"], r["app_sram_bytes"])
+    fram = [p["app_fram_kb"] for p in (o, s, r)]
+    system = [p["system_fram_kb"] for p in (o, s, r)]
+    days = [p["lifetime_days"] for p in (o, s, r)]
+    ratio = days[2] / days[0]
+    return _failed([
+        (sram == (259, 259, 69), f"detector SRAM {sram} B != (259, 259, 69)"),
+        (fram[0] > fram[1] > fram[2], f"detector FRAM {fram} KB not decreasing"),
+        (fram[2] < 0.6 * fram[0], f"reduced detector FRAM {fram[2]:.2f} KB >= 0.6 x original"),
+        (system[0] > system[1] > system[2], f"system FRAM {system} KB not decreasing"),
+        (days[2] > days[1] > days[0], f"lifetimes {days} days not increasing"),
+        (15 <= days[0] <= 35, f"original lifetime {days[0]:.1f} days outside [15, 35]"),
+        (35 <= days[2] <= 75, f"reduced lifetime {days[2]:.1f} days outside [35, 75]"),
+        (1.8 <= ratio <= 3.0, f"reduced/original lifetime {ratio:.2f}x outside [1.8, 3.0]"),
+    ])
+
+
 def _fig3_units(ctx: StudyContext) -> list[UnitSpec]:
+    from repro.experiments.fig3 import DEFAULT_PERIOD_SWEEP
+
     grids = (10, 50) if ctx.quick else (10, 25, 50, 100)
 
-    def run_profile(ctx: StudyContext) -> dict[str, Any]:
-        from repro.experiments.fig3 import run_fig3
+    def run_profile(version: DetectorVersion):
+        def run(ctx: StudyContext) -> dict[str, Any]:
+            from repro.experiments.fig3 import run_fig3
 
-        result = run_fig3(ctx.config)
-        return {
-            "version": result.version.value,
-            "top_consumers": [
-                [name, current] for name, current in result.top_consumers()
-            ],
-            "period_sweep": [
-                [period, days]
-                for period, days in sorted(result.period_sweep.items())
-            ],
-            "average_current_ma": result.profile.average_current_ma,
-            "period_s": result.profile.period_s,
-            "lifetime_days": result.profile.lifetime_days,
-        }
+            result = run_fig3(ctx.config, version=version)
+            profile = result.profile
+            breakdown = profile.current_breakdown
+            static_ma = sum(
+                v for k, v in breakdown.items() if k.startswith("static.")
+            )
+            return {
+                "version": result.version.value,
+                "top_consumers": [
+                    [name, current] for name, current in result.top_consumers()
+                ],
+                "period_sweep": [
+                    [period, days]
+                    for period, days in sorted(result.period_sweep.items())
+                ],
+                "average_current_ma": profile.average_current_ma,
+                "period_s": profile.period_s,
+                "lifetime_days": profile.lifetime_days,
+                "current_breakdown": dict(breakdown),
+                # Static draws bound the slider's asymptote.
+                "static_asymptote_days": profile.battery.lifetime_days(static_ma),
+            }
+
+        return run
 
     def run_grid_sweep(ctx: StudyContext) -> dict[str, Any]:
         from repro.experiments.fig3 import run_grid_resource_sweep
@@ -538,16 +654,23 @@ def _fig3_units(ctx: StudyContext) -> list[UnitSpec]:
         rows = run_grid_resource_sweep(ctx.config, grids=grids, jobs=ctx.jobs)
         return {"rows": rows}
 
-    return [
+    profiles = [
         UnitSpec(
-            name="profile",
+            name=name,
             params={
                 "study": "fig3",
                 "config": _config_params(ctx.config),
-                "version": DetectorVersion.ORIGINAL.value,
+                "version": version.value,
+                "periods": list(DEFAULT_PERIOD_SWEEP),
             },
-            run=run_profile,
-        ),
+            run=run_profile(version),
+        )
+        for name, version in (
+            ("profile", DetectorVersion.ORIGINAL),
+            ("profile_simplified", DetectorVersion.SIMPLIFIED),
+        )
+    ]
+    return profiles + [
         UnitSpec(
             name="grid_sweep",
             params={
@@ -561,8 +684,7 @@ def _fig3_units(ctx: StudyContext) -> list[UnitSpec]:
     ]
 
 
-def _fig3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
-    profile = payloads["profile"]
+def _fig3_text(profile: Mapping[str, Any]) -> str:
     chart = format_bar_chart(
         [(name, current) for name, current in profile["top_consumers"]],
         unit=" mA",
@@ -584,6 +706,10 @@ def _fig3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
         f"lifetime at {profile['period_s']:g} s period: "
         f"{profile['lifetime_days']:.1f} days"
     )
+    return "\n\n".join([chart, slider, summary])
+
+
+def _fig3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
     sweep_table = format_table(
         ["grid_n", "deployable", "det FRAM KB", "Mcyc/win", "days"],
         [
@@ -598,9 +724,51 @@ def _fig3_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
         ],
     )
     return {
-        "fig3": "\n\n".join([chart, slider, summary]),
+        "fig3": _fig3_text(payloads["profile"]),
+        "fig3_simplified": _fig3_text(payloads["profile_simplified"]),
         "fig3_grid_resource_sweep": sweep_table,
     }
+
+
+def _fig3_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    profile = payloads["profile"]
+    total = sum(profile["current_breakdown"].values())
+    average = profile["average_current_ma"]
+    libm = [
+        name for name in payloads["profile_simplified"]["current_breakdown"]
+        if "libm" in name or "double" in name
+    ]
+    checks = [
+        (abs(total - average) < 1e-12, f"components sum to {total!r} mA, not {average!r}"),
+        (not libm, f"simplified build bills libm/double components {libm}"),
+    ]
+    if not ctx.quick:
+        # Fig. 3: double-precision CPU work and BLE dominate; lifetime
+        # grows with the period below the static-draw asymptote; n = 100
+        # cannot deploy under the array-size limit (Insight #1).
+        top_two = [name for name, _ in profile["top_consumers"][:2]]
+        days = [d for _, d in profile["period_sweep"]]
+        asymptote = profile["static_asymptote_days"]
+        grid = {row["grid_n"]: row for row in payloads["grid_sweep"]["rows"]}
+        checks += [
+            (any(n.startswith("cpu.double") for n in top_two), f"no cpu.double* in {top_two}"),
+            ("peripheral.ble_radio" in top_two, f"no peripheral.ble_radio in {top_two}"),
+            (days == sorted(days), f"slider lifetimes {days} not increasing"),
+            (days[-1] > 1.5 * days[0], f"slider range {days[0]:.1f}-{days[-1]:.1f} days < 1.5x"),
+            (max(days) < asymptote, f"slider reaches the {asymptote:.1f}-day static asymptote"),
+            (grid[50]["deployable"] == 1.0, "grid n = 50 cannot deploy"),
+            (grid[100]["deployable"] == 0.0, "grid n = 100 deploys"),
+            (math.isnan(grid[100]["lifetime_days"]), "grid n = 100 has a lifetime"),
+            (
+                grid[50]["detector_fram_kb"] > grid[10]["detector_fram_kb"],
+                "detector FRAM does not grow from n = 10 to 50",
+            ),
+            (
+                grid[50]["lifetime_days"] <= grid[10]["lifetime_days"],
+                "lifetime grows from n = 10 to 50",
+            ),
+        ]
+    return _failed(checks)
 
 
 #: (ablation name, callable path, sweep kwarg, quick sweep, full sweep,
@@ -653,6 +821,7 @@ _ABLATIONS: tuple[tuple[str, str, str | None, tuple, tuple, bool, tuple[str, ...
 def _ablation_units(ctx: StudyContext) -> list[UnitSpec]:
     import repro.experiments.ablations as ablations_module
 
+    config = _study_config(ctx, _MIDSIZE_PROTOCOL)
     units = []
     for name, func_name, sweep_kwarg, quick_sweep, full_sweep, takes_jobs, _ in _ABLATIONS:
         sweep = quick_sweep if ctx.quick else full_sweep
@@ -666,14 +835,14 @@ def _ablation_units(ctx: StudyContext) -> list[UnitSpec]:
                     kwargs[sweep_kwarg] = sweep
                 if takes_jobs:
                     kwargs["jobs"] = ctx.jobs
-                return {"rows": func(ctx.config, **kwargs)}
+                return {"rows": func(config, **kwargs)}
 
             return run
 
         params: dict[str, Any] = {
             "study": "ablations",
             "ablation": name,
-            "config": _config_params(ctx.config),
+            "config": _config_params(config),
         }
         if sweep_kwarg is not None:
             params["sweep"] = list(sweep)
@@ -687,6 +856,89 @@ def _ablation_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, s
         f"ablation_{name}": _float_table(payload["rows"], columns[name])
         for name, payload in payloads.items()
     }
+
+
+def _ablation_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # Each sweep's qualitative finding, on the mid-size cohort.
+    if ctx.quick:
+        return []
+
+    def by(unit: str, key: str, value: str = "accuracy") -> dict[Any, Any]:
+        return {row[key]: row[value] for row in payloads[unit]["rows"]}
+
+    window = by("window_size", "window_s")
+    grid = by("grid_size", "grid_n")
+    duration = [row["accuracy"] for row in payloads["training_duration"]["rows"]]
+    features = by("feature_classes", "features")
+    both, matrix = features["both (simplified)"], features["matrix_only"]
+    geometric = features["geometric_only (reduced)"]
+    classifier = by("classifier", "classifier")
+    svm, centroid = classifier["svm_linear"], classifier["centroid"]
+    agreement = by("fixed_point", "frac_bits", "agreement_with_float")
+    attack = by("attack_types", "attack")
+    attack_fn = by("attack_types", "attack", "fn_rate")
+    mixed = {
+        (row["training"], row["eval_attack"]): row
+        for row in payloads["mixed_attack_training"]["rows"]
+    }
+    mixed_fn = mixed[("mixed", "interference")]["fn_rate"]
+    solo_fn = mixed[("replacement_only", "interference")]["fn_rate"]
+    mixed_acc = mixed[("mixed", "replacement")]["accuracy"]
+    solo_acc = mixed[("replacement_only", "replacement")]["accuracy"]
+    best = max(window.values())
+    return _failed([
+        # The paper's w = 3 s and n = 50 are competitive; all beat chance.
+        (window[3.0] >= best - 0.08, f"window_size: 3 s {window[3.0]:.4f} < {best:.4f} - 0.08"),
+        (min(window.values()) > 0.6, f"window_size: worst {min(window.values()):.4f} <= 0.6"),
+        (
+            grid[50] >= max(grid.values()) - 0.05,
+            f"grid_size: n = 50 {grid[50]:.4f} < best {max(grid.values()):.4f} - 0.05",
+        ),
+        # More training data never hurts much.
+        (
+            duration[-1] >= max(duration) - 0.03,
+            f"training_duration: longest {duration[-1]:.4f} < best {max(duration):.4f} - 0.03",
+        ),
+        (
+            duration[-1] >= duration[0] - 0.02,
+            f"training_duration: longest {duration[-1]:.4f} < shortest {duration[0]:.4f} - 0.02",
+        ),
+        # Both feature classes beat either alone (why Reduced loses).
+        (both >= matrix, f"feature_classes: both {both:.4f} < matrix_only {matrix:.4f}"),
+        (
+            both >= geometric - 0.01,
+            f"feature_classes: both {both:.4f} < geometric_only {geometric:.4f} - 0.01",
+        ),
+        # "SVM performed the best among the algorithms we tried".
+        (
+            svm >= max(classifier.values()) - 0.03,
+            f"classifier: svm_linear {svm:.4f} < best {max(classifier.values()):.4f} - 0.03",
+        ),
+        (svm >= centroid - 0.02, f"classifier: svm_linear {svm:.4f} < centroid - 0.02"),
+        # The deployed Q17.14 format is effectively lossless.
+        (agreement[14] >= 0.98, f"fixed_point: Q.14 agreement {agreement[14]:.4f} < 0.98"),
+        (agreement[14] >= agreement[4], "fixed_point: Q.14 agreement below Q.4's"),
+        # The trained-for attack is caught best, replay and morphology
+        # transfer, low-amplitude interference is a blind spot...
+        *(
+            (attack[name] > floor, f"attack_types: {name} {attack[name]:.4f} <= {floor}")
+            for name, floor in (("replacement", 0.8), ("replay", 0.6), ("morphology", 0.6))
+        ),
+        (
+            attack_fn["interference"] > attack_fn["replacement"],
+            f"attack_types: interference FN {attack_fn['interference']:.4f} <= replacement's",
+        ),
+        # ...which mixed training closes, at a bounded cost.
+        (
+            mixed_fn < 0.5 * solo_fn,
+            f"mixed_attack_training: interference FN {mixed_fn:.4f} >= half of {solo_fn:.4f}",
+        ),
+        (
+            mixed_acc > solo_acc - 0.15,
+            f"mixed_attack_training: replacement {mixed_acc:.4f} <= {solo_acc:.4f} - 0.15",
+        ),
+        (mixed_acc > 0.7, f"mixed_attack_training: replacement {mixed_acc:.4f} <= 0.7"),
+    ])
 
 
 def _fault_matrix_units(ctx: StudyContext) -> list[UnitSpec]:
@@ -728,10 +980,12 @@ def _fault_matrix_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[st
 
 
 def _universal_units(ctx: StudyContext) -> list[UnitSpec]:
+    config = _study_config(ctx, _MIDSIZE_PROTOCOL)
+
     def run(ctx: StudyContext) -> dict[str, Any]:
         from repro.experiments.universal import run_universal_study
 
-        study = run_universal_study(ctx.config)
+        study = run_universal_study(config)
         return {
             "per_user": _report_dict(study.per_user),
             "universal": _report_dict(study.universal),
@@ -746,7 +1000,7 @@ def _universal_units(ctx: StudyContext) -> list[UnitSpec]:
             name="loso",
             params={
                 "study": "universal",
-                "config": _config_params(ctx.config),
+                "config": _config_params(config),
             },
             run=run,
         )
@@ -780,6 +1034,19 @@ def _universal_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, 
     }
 
 
+def _universal_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # The universal model transfers, but never meaningfully beats
+    # per-user enrollment (the paper's protocol).
+    if ctx.quick:
+        return []
+    universal = payloads["loso"]["universal"]["accuracy"]
+    per_user = payloads["loso"]["per_user"]["accuracy"]
+    return _failed([
+        (universal > 0.7, f"universal accuracy {universal:.4f} <= 0.7"),
+        (per_user >= universal - 0.02, f"per-user {per_user:.4f} < universal - 0.02"),
+    ])
+
+
 #: (robustness study, callable name, report name, report columns).
 _ROBUSTNESS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     (
@@ -803,10 +1070,12 @@ _ROBUSTNESS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
 def _robustness_units(ctx: StudyContext) -> list[UnitSpec]:
     import repro.experiments.robustness as robustness_module
 
+    config = _study_config(ctx, _ROBUSTNESS_PROTOCOL)
+
     def make_run(func_name: str):
         def run(ctx: StudyContext) -> dict[str, Any]:
             func = getattr(robustness_module, func_name)
-            return {"rows": func(ctx.config)}
+            return {"rows": func(config)}
 
         return run
 
@@ -816,7 +1085,7 @@ def _robustness_units(ctx: StudyContext) -> list[UnitSpec]:
             params={
                 "study": "robustness",
                 "sweep": name,
-                "config": _config_params(ctx.config),
+                "config": _config_params(config),
             },
             run=make_run(func_name),
         )
@@ -832,10 +1101,53 @@ def _robustness_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str,
     }
 
 
-def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
+def _robustness_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    if ctx.quick:
+        return []
+
+    def by(unit: str, key: str) -> dict[Any, Any]:
+        return {row[key]: row for row in payloads[unit]["rows"]}
+
+    loss = by("channel_loss", "loss_probability")
+    coverage = {p: row["window_coverage"] for p, row in loss.items()}
+    classified = {p: row["accuracy_on_classified"] for p, row in loss.items()}
+    rate = by("artifact_load", "artifact_rate_per_min")
+    votes = by("debounce", "votes_needed")
+    false_3, false_1 = (votes[k]["false_episodes_per_run"] for k in (3, 1))
+    return _failed([
+        # Coverage falls roughly like (1-p)^2 (both halves must arrive),
+        # but accuracy on the windows that do assemble barely moves.
+        (abs(coverage[0.0] - 1.0) <= 1e-6, f"channel_loss: coverage {coverage[0.0]:.4f} at p = 0"),
+        (coverage[0.4] < 0.6, f"channel_loss: coverage {coverage[0.4]:.4f} >= 0.6 at p = 0.4"),
+        (
+            classified[0.4] > classified[0.0] - 0.1,
+            f"channel_loss: accuracy on classified {classified[0.0]:.4f} -> {classified[0.4]:.4f}",
+        ),
+        # Heavy artifact load costs accuracy, mostly through false
+        # positives, yet the detector stays useful.
+        (
+            rate[0.0]["accuracy"] >= rate[12.0]["accuracy"],
+            "artifact_load: clean accuracy below 12/min accuracy",
+        ),
+        (rate[12.0]["fp_rate"] >= rate[0.0]["fp_rate"], "artifact_load: 12/min FP rate < clean"),
+        (rate[12.0]["accuracy"] > 0.6, f"artifact_load: {rate[12.0]['accuracy']:.4f} at 12/min"),
+        # Stricter voting cannot raise false episodes; attacks still caught.
+        (false_3 <= false_1, f"debounce: false episodes {false_1:.4f} -> {false_3:.4f} at 3 votes"),
+        *(
+            (votes[k]["attack_catch_rate"] >= 0.8, f"debounce: {k}-vote catch rate < 0.8")
+            for k in (2, 3)
+        ),
+    ])
+
+
+def _gateway_wearers(ctx: StudyContext) -> int:
     # Serving scale: quick keeps the orchestrator smoke a smoke; the
-    # full run holds the issue's >= 1k concurrent wearers.
-    n_wearers = 64 if ctx.quick else 1024
+    # full run holds >= 1k concurrent wearers.
+    return 64 if ctx.quick else 1024
+
+
+def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
+    n_wearers = _gateway_wearers(ctx)
     stream_s = 12.0 if ctx.quick else 30.0
     batch_size = 256
     loss_probability = 0.02
@@ -849,10 +1161,15 @@ def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
             batch_size=batch_size,
             loss_probability=loss_probability,
             seed=ctx.config.seed,
+            sanitize_loop=True,
         )
         stats = report.stats
         return {
             "n_wearers": report.n_wearers,
+            "sessions_started": stats.sessions_started,
+            "sessions_active": stats.sessions_active,
+            "packets_dropped": report.packets_dropped,
+            "loop_stalls": report.loop_stalls,
             "wall_s": round(report.wall_s, 6),
             "windows_sent": report.windows_sent,
             "verdicts": stats.verdicts,
@@ -880,6 +1197,7 @@ def _gateway_units(ctx: StudyContext) -> list[UnitSpec]:
                 "batch_size": batch_size,
                 "loss_probability": loss_probability,
                 "seed": ctx.config.seed,
+                "sanitize_loop": True,
             },
             run=run,
         )
@@ -918,6 +1236,29 @@ def _gateway_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, st
             title="Ingestion gateway: multi-wearer serving load",
         )
     }
+
+
+def _gateway_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    p = payloads["serving"]
+    wearers = _gateway_wearers(ctx)
+    accounted = p["verdicts"] + p["windows_shed"] + p["incomplete_windows"] + p["windows_vanished"]
+    return _failed([
+        (
+            p["n_wearers"] == p["sessions_started"] == wearers,
+            f"{p['sessions_started']} of {wearers} sessions started",
+        ),
+        # Clean shutdown, conservation, loss surfacing as incomplete
+        # windows, cross-session batching and a loop free of blocking work.
+        (p["leaked_sessions"] == 0, f"{p['leaked_sessions']} sessions leaked"),
+        (p["sessions_active"] == 0, f"{p['sessions_active']} sessions still active"),
+        (accounted == p["windows_sent"], f"{accounted} accounted, {p['windows_sent']} sent"),
+        (p["verdicts"] > 0, "no verdicts"),
+        (p["packets_dropped"] > 0, "the lossy channel dropped no packets"),
+        (p["incomplete_windows"] > 0, "no incomplete windows under loss"),
+        (0.0 < p["p50_ms"] <= p["p99_ms"], f"latency p50 {p['p50_ms']} ms, p99 {p['p99_ms']} ms"),
+        (p["mean_batch_size"] > 1.0, f"mean batch size {p['mean_batch_size']} <= 1"),
+        (p["loop_stalls"] == 0, f"event loop stalled {p['loop_stalls']} time(s)"),
+    ])
 
 
 def _chaos_units(ctx: StudyContext) -> list[UnitSpec]:
@@ -1062,6 +1403,21 @@ def _chaos_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]
     }
 
 
+def _chaos_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # Every unit audits its own invariants (conservation, per-kind
+    # detection, bit identity, leaks) into ``ok``; the mixed schedule's
+    # headline is pinned so a silently weakened schedule fails loudly.
+    mixed = payloads["schedule-mixed"]
+    planned, detected = mixed["planned_faults"], mixed["faults_detected"]
+    return _failed([
+        *((p["ok"], f"{name}: {'; '.join(p['violations'])}") for name, p in payloads.items()),
+        (planned >= 4, f"schedule-mixed: {planned} planned faults < 4"),
+        (detected >= planned, f"schedule-mixed: {detected} of {planned} faults detected"),
+        (mixed["restarts"] >= 1, "schedule-mixed: the scorer never restarted"),
+        (mixed["conservation_ok"], "schedule-mixed: conservation broken"),
+    ])
+
+
 def _native_units(ctx: StudyContext) -> list[UnitSpec]:
     # Native scale: throughput comparison needs a stream long enough to
     # swamp dispatch overhead; quick keeps it to a CI-smoke minute.
@@ -1107,10 +1463,9 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
                 payload.update(reason=reason, speedup=None, bit_identical=None)
                 return payload
             detector.platform = "native"
-            if not detector.native_active:  # build failed; reason captured
+            if not detector.native_active:  # build failed: a violation
                 payload.update(
-                    available=False,
-                    reason=str(detector.native_error),
+                    reason=f"build failed: {detector.native_error}",
                     speedup=None,
                     bit_identical=None,
                 )
@@ -1145,7 +1500,7 @@ def _native_units(ctx: StudyContext) -> list[UnitSpec]:
 def _native_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str]:
     rows = []
     for name, payload in payloads.items():
-        if payload.get("available"):
+        if payload.get("speedup") is not None:
             rows.append(
                 [
                     name,
@@ -1169,29 +1524,58 @@ def _native_render(ctx: StudyContext, payloads: dict[str, Any]) -> dict[str, str
     }
 
 
+#: The native win's acceptance floor.  Dispatch overhead shrinks the
+#: margin on the short quick stream, so quick runs only require a win.
+_MIN_SPEEDUP = 2.0
+_MIN_SPEEDUP_QUICK = 1.0
+
+
+def _native_check(ctx: StudyContext, payloads: dict[str, Any]) -> list[str]:
+    # Parity before speed -- a fast wrong answer is no speedup.  Tiers
+    # without a toolchain (or SVML) are skipped, as the parity suite does.
+    floor = _MIN_SPEEDUP_QUICK if ctx.quick else _MIN_SPEEDUP
+    checks = []
+    for name, p in payloads.items():
+        if p["available"]:
+            reason = "" if p["reason"] == "ok" else f" ({p['reason']})"
+            checks += [
+                (p["bit_identical"] is True, f"{name}: not bit-identical to numpy{reason}"),
+                ((p["speedup"] or 0.0) >= floor, f"{name}: speedup {p['speedup']}x < {floor}x"),
+            ]
+    return _failed(checks)
+
+
 def build_registry() -> dict[str, StudyDefinition]:
     """The default study registry, in canonical run order."""
     return {
-        "table2": StudyDefinition("table2", _table2_units, _table2_render),
-        "table3": StudyDefinition("table3", _table3_units, _table3_render),
-        "fig3": StudyDefinition("fig3", _fig3_units, _fig3_render),
+        "table2": StudyDefinition(
+            "table2", _table2_units, _table2_render, _table2_check
+        ),
+        "table3": StudyDefinition(
+            "table3", _table3_units, _table3_render, _table3_check
+        ),
+        "fig3": StudyDefinition("fig3", _fig3_units, _fig3_render, _fig3_check),
         "ablations": StudyDefinition(
-            "ablations", _ablation_units, _ablation_render
+            "ablations", _ablation_units, _ablation_render, _ablation_check
         ),
         "fault-matrix": StudyDefinition(
             "fault-matrix", _fault_matrix_units, _fault_matrix_render
         ),
         "universal": StudyDefinition(
-            "universal", _universal_units, _universal_render
+            "universal", _universal_units, _universal_render, _universal_check
         ),
         "robustness": StudyDefinition(
-            "robustness", _robustness_units, _robustness_render
+            "robustness", _robustness_units, _robustness_render, _robustness_check
         ),
         "gateway": StudyDefinition(
-            "gateway", _gateway_units, _gateway_render
+            "gateway", _gateway_units, _gateway_render, _gateway_check
         ),
-        "chaos": StudyDefinition("chaos", _chaos_units, _chaos_render),
-        "native": StudyDefinition("native", _native_units, _native_render),
+        "chaos": StudyDefinition(
+            "chaos", _chaos_units, _chaos_render, _chaos_check
+        ),
+        "native": StudyDefinition(
+            "native", _native_units, _native_render, _native_check
+        ),
     }
 
 
@@ -1282,12 +1666,13 @@ class Orchestrator:
     def run_study(
         self, name: str, reeval: bool = False, write_reports: bool = True
     ) -> StudyRun:
-        """Run (or resume, or re-render) one study.
+        """Run (or resume, or re-render) one study, then check it.
 
         Units whose checkpoint carries the current config hash are
         *skipped* -- their payloads come off disk.  ``reeval`` forbids
         computation entirely: a unit without a valid checkpoint raises
-        :class:`MissingCheckpointError`.
+        :class:`MissingCheckpointError`.  The study's check runs over the
+        payloads either way; its violations land on the returned run.
         """
         try:
             definition = self.registry[name]
@@ -1330,7 +1715,12 @@ class Orchestrator:
                 path = self.results_dir / f"{report_name}.txt"
                 path.write_text(text + "\n")
                 reports[report_name] = path
-        return StudyRun(name=name, units=tuple(outcomes), reports=reports)
+        return StudyRun(
+            name=name,
+            units=tuple(outcomes),
+            reports=reports,
+            violations=tuple(definition.check(self.context, payloads)),
+        )
 
     def _run_unit(self, study: str, spec: UnitSpec, unit_hash: str) -> UnitOutcome:
         cache_before = EXPERIMENT_CACHE.stats()
@@ -1387,8 +1777,8 @@ class Orchestrator:
         """Run the study matrix (default: every registered study).
 
         ``fresh`` drops the selected studies' checkpoints first;
-        ``reeval`` renders reports from checkpoints alone (zero
-        recomputation, no trajectory).  On completion a ``BENCH_<stamp>
+        ``reeval`` renders and checks reports from checkpoints alone
+        (zero recomputation, no trajectory).  On completion a ``BENCH_<stamp>
         .json`` perf trajectory lands in the results directory (also
         copied to ``BENCH_latest.json`` for the CI gate).
         """
@@ -1469,107 +1859,6 @@ class Orchestrator:
             "calibration_s": round(_calibration_s(), 6),
             "studies": studies,
         }
-
-
-# ----------------------------------------------------------------------
-# Perf samples (the benches' route into the trajectory)
-# ----------------------------------------------------------------------
-
-#: Process-local samples recorded by ``benchmarks/conftest.run_once``.
-_PERF_SAMPLES: list[dict[str, Any]] = []
-
-
-def record_perf_sample(
-    study: str,
-    unit: str,
-    wall_s: float,
-    n_windows: int = 0,
-    p99_ms: float = 0.0,
-    **extra: Any,
-) -> None:
-    """Record one bench measurement for the session's trajectory.
-
-    ``p99_ms`` is the serving-path tail latency (0 = not a serving
-    measurement); it feeds the trajectory's per-study ``p99_ms`` and the
-    regression gate's latency check.  Any further keyword fields (e.g.
-    the native bench's measured ``speedup``) ride along into the unit's
-    ``units_detail`` entry verbatim -- they must be JSON-serializable.
-    """
-    _PERF_SAMPLES.append(
-        {
-            "study": str(study),
-            "unit": str(unit),
-            "wall_s": float(wall_s),
-            "n_windows": int(n_windows),
-            "p99_ms": float(p99_ms),
-            **{str(key): value for key, value in extra.items()},
-        }
-    )
-
-
-def drain_perf_samples() -> list[dict[str, Any]]:
-    """All samples recorded so far (clearing the buffer)."""
-    samples, _PERF_SAMPLES[:] = list(_PERF_SAMPLES), []
-    return samples
-
-
-def trajectory_from_samples(
-    samples: Sequence[Mapping[str, Any]],
-    label: str = "bench",
-    quick: bool = False,
-    jobs: int = 1,
-) -> dict[str, Any]:
-    """Aggregate raw perf samples into a trajectory record."""
-    studies: dict[str, Any] = {}
-    for sample in samples:
-        study = studies.setdefault(
-            str(sample["study"]),
-            {
-                "wall_s": 0.0,
-                "units": 0,
-                "recomputed_units": 0,
-                "cached_units": 0,
-                "n_windows": 0,
-                "windows_per_s": 0.0,
-                "p99_ms": 0.0,
-                "units_detail": [],
-            },
-        )
-        study["wall_s"] = round(study["wall_s"] + float(sample["wall_s"]), 6)
-        study["units"] += 1
-        study["recomputed_units"] += 1
-        study["n_windows"] += int(sample.get("n_windows", 0))
-        study["p99_ms"] = round(
-            max(study["p99_ms"], float(sample.get("p99_ms", 0.0))), 4
-        )
-        detail = {
-            "unit": str(sample["unit"]),
-            "wall_s": round(float(sample["wall_s"]), 6),
-            "cached": False,
-        }
-        detail.update(
-            {
-                key: value
-                for key, value in sample.items()
-                if key not in ("study", "unit", "wall_s", "n_windows", "p99_ms")
-            }
-        )
-        study["units_detail"].append(detail)
-    for study in studies.values():
-        if study["wall_s"] > 0 and study["n_windows"]:
-            study["windows_per_s"] = round(
-                study["n_windows"] / study["wall_s"], 3
-            )
-    return {
-        "schema": SCHEMA,
-        "label": str(label),
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "quick": bool(quick),
-        "jobs": int(jobs),
-        "python": sys.version.split()[0],
-        "calibration_s": round(_calibration_s(), 6),
-        "studies": studies,
-    }
 
 
 # ----------------------------------------------------------------------

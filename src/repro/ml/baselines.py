@@ -3,7 +3,7 @@
 The paper chose the SVM because "it performed the best among the
 algorithms we tried".  These are the standard alternatives such a study
 tries, implemented from scratch so the classifier-choice ablation
-(`benchmarks/bench_ablations.py`) can reproduce that comparison.
+(`repro orchestrate --studies ablations`) can reproduce that comparison.
 
 All baselines share the :class:`SVC` label conventions: training labels may
 be boolean or {0,1} or {-1,+1}; ``predict_bool`` returns ``True`` for the

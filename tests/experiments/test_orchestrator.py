@@ -3,9 +3,11 @@
 The contract under test: every completed (study, config) unit survives a
 kill; a re-run recomputes only units without a valid checkpoint; a
 resumed run's reports are bit-identical to an uninterrupted run's; and
-``reeval`` renders every report with zero recomputation.  Most tests
-drive a synthetic registry (instant units, observable side effects); the
-kill/resume test interrupts a real subprocess with SIGINT mid-matrix.
+``reeval`` renders every report with zero recomputation; every study's
+check runs over its payloads on every run, ``reeval`` included.
+Most tests drive a synthetic registry (instant units, observable side
+effects); the kill/resume test interrupts ``repro orchestrate`` in a
+real subprocess with SIGINT mid-matrix.
 """
 
 from __future__ import annotations
@@ -26,18 +28,16 @@ from repro.experiments.orchestrator import (
     Orchestrator,
     StudyDefinition,
     UnitSpec,
+    build_registry,
     compare_trajectories,
     config_hash,
-    drain_perf_samples,
-    record_perf_sample,
-    trajectory_from_samples,
     write_trajectory,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _counting_registry(calls: list[str], payload_of=None):
+def _counting_registry(calls: list[str], payload_of=None, check=None):
     """One synthetic study, three units, each run appended to ``calls``."""
     payload_of = payload_of or (lambda name: {"value": name.upper(), "n_windows": 10})
 
@@ -59,7 +59,8 @@ def _counting_registry(calls: list[str], payload_of=None):
         lines = [f"{name}: {p['value']}" for name, p in payloads.items()]
         return {"synthetic": "\n".join(lines)}
 
-    return {"synthetic": StudyDefinition("synthetic", build_units, render)}
+    extra = () if check is None else (check,)
+    return {"synthetic": StudyDefinition("synthetic", build_units, render, *extra)}
 
 
 def _orchestrator(tmp_path, registry, **kwargs):
@@ -107,6 +108,29 @@ class TestCheckpointStore:
             handle.write('{"unit": "torn", "config_hash": "h", "pay')
         records = store.load("s")
         assert set(records) == {"done"}
+
+    def test_append_after_torn_tail_keeps_the_new_unit(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.append("s", {"unit": "a", "config_hash": "h", "payload": 1})
+        with store.path("s").open("a") as handle:
+            handle.write('{"unit": "b", "config_ha')
+        store.append("s", {"unit": "c", "config_hash": "h", "payload": 3})
+        assert set(store.load("s")) == {"a", "c"}
+
+    def test_resume_after_torn_tail_does_not_recompute(self, tmp_path):
+        calls: list[str] = []
+        orch = _orchestrator(tmp_path, _counting_registry(calls))
+        orch.run(trajectory=False)
+        path = orch.store.path("synthetic")
+        # Killed while appending beta: alpha durable, beta's line torn.
+        alpha = path.read_text().splitlines()[0]
+        path.write_text(alpha + '\n{"unit": "beta", "config_ha')
+        calls.clear()
+        orch.run(trajectory=False)
+        assert calls == ["beta", "gamma"]
+        calls.clear()
+        orch.run(trajectory=False)
+        assert calls == []  # beta's recomputed checkpoint survived
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert CheckpointStore(tmp_path).load("never-ran") == {}
@@ -231,11 +255,105 @@ class TestReeval:
             orch.run(reeval=True, fresh=True)
 
 
+class TestChecks:
+    def test_failing_check_is_returned(self, tmp_path):
+        registry = _counting_registry([], check=lambda ctx, payloads: ["planted"])
+        run = _orchestrator(tmp_path, registry).run(trajectory=False)
+        assert run.studies[0].violations == ("planted",)
+        assert run.violations == ["synthetic: planted"]
+
+    def test_cli_exits_1_and_prints_violation(self, tmp_path, monkeypatch, capsys):
+        import repro.experiments.orchestrator as orchestrator
+        from repro.cli import main
+
+        registry = _counting_registry([], check=lambda ctx, payloads: ["planted"])
+        monkeypatch.setattr(orchestrator, "build_registry", lambda: registry)
+        rc = main(
+            [
+                "orchestrate", "--quick", "--no-trajectory",
+                "--checkpoint-dir", str(tmp_path / "checkpoints"),
+                "--results-dir", str(tmp_path / "results"),
+            ]
+        )
+        assert rc == 1
+        assert "check failed: synthetic: planted" in capsys.readouterr().err
+
+    def test_reeval_rechecks_without_recompute(self, tmp_path):
+        calls: list[str] = []
+        checked: list[dict] = []
+
+        def check(ctx, payloads):
+            checked.append(payloads)
+            return [f"{name} seen" for name in payloads]
+
+        orch = _orchestrator(tmp_path, _counting_registry(calls, check=check))
+        first = orch.run(trajectory=False)
+        calls.clear()
+        again = orch.run(reeval=True)
+        assert calls == []  # zero recomputation
+        assert len(checked) == 2 and checked[0] == checked[1]
+        assert again.violations == first.violations != []
+
+    @staticmethod
+    def _planted(tmp_path, study, payloads, quick):
+        """Run the real ``study`` check over planted unit payloads."""
+
+        def build_units(ctx):
+            return [
+                UnitSpec(name=name, params={"planted": name}, run=lambda ctx, p=p: p)
+                for name, p in payloads.items()
+            ]
+
+        real = build_registry()[study]
+        registry = {study: StudyDefinition(study, build_units, lambda c, p: {}, real.check)}
+        return Orchestrator(
+            quick=quick,
+            checkpoint_dir=tmp_path / f"checkpoints-{quick}",
+            results_dir=tmp_path / "results",
+            registry=registry,
+        ).run(trajectory=False).violations
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_invariants_hold_at_both_sizes(self, tmp_path, quick):
+        tier = {"available": True, "bit_identical": True, "speedup": 3.0, "reason": "ok"}
+        payloads = {
+            "original": tier,
+            "simplified": {**tier, "bit_identical": False},
+            "reduced": {"available": False, "bit_identical": None, "speedup": None},
+        }
+        violations = self._planted(tmp_path, "native", payloads, quick)
+        assert len(violations) == 1
+        assert violations[0].startswith("native: simplified: not bit-identical")
+
+    def test_speedup_floor_depends_on_size(self, tmp_path):
+        tier = {"available": True, "bit_identical": True, "speedup": 1.5, "reason": "ok"}
+        payloads = {"original": tier}
+        assert self._planted(tmp_path, "native", payloads, quick=True) == []
+        assert self._planted(tmp_path, "native", payloads, quick=False) == [
+            "native: original: speedup 1.5x < 2.0x"
+        ]
+
+    def test_paper_thresholds_only_at_full_size(self, tmp_path):
+        weak = {"false_positive_rate": 0.5, "false_negative_rate": 0.5, "accuracy": 0.5, "f1": 0.5}
+        payloads = {
+            version: {
+                "version": version,
+                "rows": [{"platform": p, "report": weak} for p in ("amulet", "reference")],
+            }
+            for version in ("original", "simplified", "reduced")
+        }
+        assert self._planted(tmp_path, "table2", payloads, quick=True) == []
+        full = self._planted(tmp_path, "table2", payloads, quick=False)
+        assert "table2: amulet: original accuracy 0.5000 <= 0.85" in full
+
+
 _KILLABLE_SCRIPT = """
 import sys, time
 from pathlib import Path
 
-from repro.experiments.orchestrator import Orchestrator, StudyDefinition, UnitSpec
+import repro.experiments.orchestrator as orchestrator
+from repro.cli import main
+from repro.experiments.orchestrator import StudyDefinition, UnitSpec
 
 base = Path(sys.argv[1])
 slow_unit = sys.argv[2] if len(sys.argv) > 2 else None
@@ -255,21 +373,23 @@ def render(ctx, payloads):
     return {"killable": chr(10).join(lines)}
 
 registry = {"killable": StudyDefinition("killable", build_units, render)}
-orch = Orchestrator(
-    quick=True,
-    checkpoint_dir=base / "checkpoints",
-    results_dir=base / "results",
-    registry=registry,
-)
-orch.run(trajectory=False)
-print("RUN-COMPLETE", flush=True)
+orchestrator.build_registry = lambda: registry
+rc = main([
+    "orchestrate", "--quick", "--no-trajectory",
+    "--checkpoint-dir", str(base / "checkpoints"),
+    "--results-dir", str(base / "results"),
+])
+if rc == 0:
+    print("RUN-COMPLETE", flush=True)
+sys.exit(rc)
 """
 
 
 class TestKillAndResume:
     def test_sigint_mid_matrix_then_resume_bit_identical(self, tmp_path):
-        """The acceptance scenario: kill the driver inside unit two, re-run,
-        and require (a) unit one is never recomputed, (b) the resumed
+        """The acceptance scenario: interrupt ``repro orchestrate`` inside
+        unit two, re-run, and require (a) a clean exit 130 with no
+        traceback, (b) unit one is never recomputed, (c) the resumed
         reports match an uninterrupted run's byte for byte."""
         script = tmp_path / "driver.py"
         script.write_text(_KILLABLE_SCRIPT)
@@ -296,7 +416,9 @@ class TestKillAndResume:
         finally:
             if proc.poll() is None:
                 proc.kill()
-        assert proc.returncode != 0
+        assert proc.returncode == 130, output
+        assert "Traceback" not in output
+        assert "repro orchestrate: interrupted; rerun to resume" in output
         assert "RUN-COMPLETE" not in output
 
         # Alpha completed before the kill and must have a durable checkpoint.
@@ -373,24 +495,12 @@ class TestTrajectory:
         latest = tmp_path / "results" / "BENCH_latest.json"
         assert latest.read_bytes() == stamp
 
-    def test_perf_samples_aggregate(self):
-        drain_perf_samples()
-        record_perf_sample("table2", "original", 2.0, n_windows=100)
-        record_perf_sample("table2", "simplified", 2.0, n_windows=100)
-        record_perf_sample("fig3", "profile", 0.5)
-        record = trajectory_from_samples(drain_perf_samples(), label="bench")
-        assert drain_perf_samples() == []  # buffer drained
-        table2 = record["studies"]["table2"]
-        assert table2["wall_s"] == pytest.approx(4.0)
-        assert table2["units"] == 2
-        assert table2["n_windows"] == 200
-        assert table2["windows_per_s"] == pytest.approx(50.0)
-        assert record["studies"]["fig3"]["windows_per_s"] == 0.0
-
     def test_write_trajectory_files(self, tmp_path):
-        record = trajectory_from_samples(
-            [{"study": "s", "unit": "u", "wall_s": 1.0, "n_windows": 0}]
-        )
+        record = {
+            "schema": 1,
+            "calibration_s": 0.01,
+            "studies": {"s": {"wall_s": 1.0, "recomputed_units": 1}},
+        }
         path = write_trajectory(record, tmp_path, stamp="test")
         assert path == tmp_path / "BENCH_test.json"
         assert json.loads(path.read_text()) == json.loads(

@@ -89,6 +89,7 @@ class TestBitIdentity:
         assert stats.faults == 0
         assert stats.scored_isolated == len(windows)
         assert stats.batches_degraded == 0
+        assert stats.breaker_state == "closed"
 
     def test_sigkilled_child_restarts_and_stream_stays_bit_identical(
         self, keyed, detector, test_record
